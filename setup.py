@@ -1,5 +1,5 @@
-"""Build script: compiles the flow kernel extension when Cython and a C
-compiler are available, and falls back to a pure-Python install otherwise.
+"""Build script: compiles the C flow kernel extension when a C compiler is
+available, and falls back to a pure-Python install otherwise.
 Set CONNDIM_NO_EXT=1 to skip the extension build entirely."""
 
 import os
@@ -12,22 +12,9 @@ from setuptools.command.build_ext import build_ext
 def extension_modules():
     if os.environ.get("CONNDIM_NO_EXT"):
         return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("conndim: Cython not available, installing pure-Python kernels only",
-              file=sys.stderr)
-        return []
-    return cythonize(
-        [
-            Extension(
-                "conndim._kernels._speedups",
-                ["src/conndim/_kernels/_speedups.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level="3",
-    )
+    return [Extension("conndim._kernels._speedups",
+                      ["src/conndim/_kernels/_speedups.c"],
+                      extra_compile_args=["-O3"])]
 
 
 class optional_build_ext(build_ext):

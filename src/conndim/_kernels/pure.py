@@ -1,6 +1,6 @@
 """Pure-Python unit-capacity max-flow kernel for local connectivity.
 
-The compiled kernel in _speedups.pyx implements the same contract; which one
+The compiled kernel in _speedups.c implements the same contract; which one
 the package uses is decided at import time in __init__.
 """
 
@@ -14,6 +14,13 @@ def kernel_name() -> str:
     return "pure"
 
 
+def _check_endpoints(kind: str, a: int, b: int, n: int) -> None:
+    if not (0 <= a < n and 0 <= b < n):
+        raise ValueError(f"{kind} ({a}, {b}) out of range for {n} vertices")
+    if a == b:
+        raise ValueError(f"{kind} ({a}, {b}) has equal endpoints")
+
+
 def flow_many(n: int,
               edges: Sequence[tuple[int, int]],
               pairs: Sequence[tuple[int, int]]) -> list[int]:
@@ -24,7 +31,12 @@ def flow_many(n: int,
     b_exit->a_entry.  The flow for pair (s, t) runs from s's exit node to t's
     entry node, so arc capacities enforce that interior vertices are used by at
     most one path.  Arcs are stored as parallel arrays with arc^1 the reverse.
+
+    Raises ValueError for n < 0, an endpoint outside [0, n), a self-loop edge
+    or a pair with s == t, before any flow is computed.
     """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     nn = 2 * n
     arc_to: list[int] = []
     arc_cap: list[int] = []
@@ -41,8 +53,13 @@ def flow_many(n: int,
     for v in range(n):
         add_arc(v, v + n)          # interior capacity of v
     for a, b in edges:
+        _check_endpoints("edge", a, b, n)
         add_arc(a + n, b)
         add_arc(b + n, a)
+
+    pairs = list(pairs)
+    for s, t in pairs:
+        _check_endpoints("pair", s, t, n)
 
     init_cap = list(arc_cap)
     parent = [-1] * nn  # arc id used to reach each node
